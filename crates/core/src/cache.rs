@@ -54,7 +54,7 @@
 use crate::config::{DcaConfig, DigestMode, PermutationSet, VerifyScope};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::outcome::Divergence;
-use crate::report::{LoopVerdict, SkipReason, Violation};
+use crate::report::{LoopResult, LoopVerdict, SkipReason, Violation};
 use dca_analysis::ExclusionReason;
 use dca_interp::{Trap, Value};
 use dca_ir::{canonical_loop_body, canonical_module, FuncView, Loop, Module};
@@ -99,6 +99,20 @@ pub struct CachedVerdict {
     pub permutations_tested: usize,
     /// Interpreter steps the verification consumed when computed.
     pub replay_steps: u64,
+}
+
+/// The storable part of a result: everything but the provenance flags
+/// and the wall time.
+impl From<&LoopResult> for CachedVerdict {
+    fn from(r: &LoopResult) -> Self {
+        CachedVerdict {
+            tag: r.tag.clone(),
+            verdict: r.verdict.clone(),
+            trips: r.trips,
+            permutations_tested: r.permutations_tested,
+            replay_steps: r.replay_steps,
+        }
+    }
 }
 
 /// Cache statistics for one analysis run, surfaced as

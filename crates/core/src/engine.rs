@@ -19,6 +19,7 @@ use dca_interp::{JournalStats, Limits, Machine, OpCounts, Trap, Value};
 use dca_ir::{FuncId, FuncView, Loop, LoopRef, Module, Ty, VarId};
 use dca_obs::{Obs, TraceVal};
 use std::fmt;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Builds the observer for one engine run: the `DCA_TRACE=<path>`
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 /// unwritable trace path degrades to metrics-only rather than failing
 /// the analysis.
 fn make_obs(config: &DcaConfig) -> Obs {
-    let env_trace = std::env::var_os("DCA_TRACE").map(std::path::PathBuf::from);
+    let env_trace = std::env::var_os("DCA_TRACE").map(PathBuf::from);
     if let Some(path) = env_trace.as_deref().or(config.obs.trace.as_deref()) {
         return Obs::with_trace(path).unwrap_or_else(|_| Obs::enabled());
     }
@@ -39,22 +40,15 @@ fn make_obs(config: &DcaConfig) -> Obs {
     }
 }
 
-/// The verdict-cache path in effect for one engine run: the
-/// `DCA_CACHE=<path>` environment variable wins (mirroring `DCA_TRACE`),
-/// then [`crate::DcaConfig::cache`]; `None` disables caching.
-fn resolve_cache_path(config: &DcaConfig) -> Option<std::path::PathBuf> {
-    std::env::var_os("DCA_CACHE")
-        .map(std::path::PathBuf::from)
-        .or_else(|| config.cache.clone())
-}
-
-/// The run-journal path in effect: the `DCA_JOURNAL=<path>` environment
-/// variable wins (mirroring `DCA_CACHE`), then
-/// [`crate::DcaConfig::journal`]; `None` disables the journal.
-fn resolve_journal_path(config: &DcaConfig) -> Option<std::path::PathBuf> {
-    std::env::var_os("DCA_JOURNAL")
-        .map(std::path::PathBuf::from)
-        .or_else(|| config.journal.clone())
+/// The path of a persistent store in effect for one engine run: the
+/// environment variable `var` wins (mirroring `DCA_TRACE`), then the
+/// configured path; `None` disables the store. Serves `DCA_CACHE` over
+/// [`crate::DcaConfig::cache`] and `DCA_JOURNAL` over
+/// [`crate::DcaConfig::journal`].
+fn resolve_store_path(var: &str, configured: &Option<PathBuf>) -> Option<PathBuf> {
+    std::env::var_os(var)
+        .map(PathBuf::from)
+        .or_else(|| configured.clone())
 }
 
 /// Adds an interpreter's heap-op totals to the `interp.heap.*` counters.
@@ -66,9 +60,10 @@ fn record_machine_ops(obs: &Obs, ops: &OpCounts) {
 }
 
 /// How one loop's permutation verification ended.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 enum VerifyEnd {
     /// Every permutation preserved the outcome.
+    #[default]
     Complete,
     /// Some permutation refuted commutativity.
     Violated(Violation),
@@ -88,6 +83,70 @@ enum VerifyEnd {
     /// ([`DcaConfig::max_heap_cells`]) — a resource limit like
     /// [`VerifyEnd::Budget`], never a violation.
     MemBudget,
+}
+
+// ---- One mapping per outcome type (DESIGN.md §12): how each way the
+// record → replay → verify pipeline can stop becomes a verdict.
+
+/// The skip a failed golden recording gives its loop, or `None` when the
+/// requested invocation never ran (the loop is not exercised, which is
+/// no skip). Running out of heap is a resource limit only when
+/// `heap_budget` says [`DcaConfig::max_heap_cells`] is set; otherwise it
+/// is the program's own trap.
+fn record_skip(err: RecordError, heap_budget: bool) -> Option<SkipReason> {
+    Some(match err {
+        RecordError::NotExercised => return None,
+        RecordError::TripLimit => SkipReason::TripLimit,
+        RecordError::Trapped(Trap::OutOfMemory) if heap_budget => SkipReason::MemoryBudget,
+        RecordError::Trapped(t) => SkipReason::GoldenTrapped(t),
+        RecordError::BudgetExhausted => SkipReason::GoldenBudget,
+        RecordError::DeadlineExpired => SkipReason::Deadline,
+        RecordError::Cancelled => SkipReason::Cancelled,
+    })
+}
+
+impl VerifyEnd {
+    /// The outcome a replay's end forces before any state comparison, or
+    /// `None` when the replay reached its comparison point: the loop exit
+    /// under the loop-exit scope (`stop_at_exit`), the program end
+    /// otherwise. Serves the reference identity replay and every permuted
+    /// replay alike. `heap_budget` is false for a replay carrying an
+    /// injected `AllocFail`, whose out-of-memory trap must keep counting
+    /// as a contained violation rather than a resource limit.
+    fn forced_by(end: &ReplayEnd, stop_at_exit: bool, heap_budget: bool) -> Option<VerifyEnd> {
+        Some(match end {
+            ReplayEnd::LoopExited => return None,
+            // Under the loop-exit scope, finishing means the frame unwound
+            // before the loop exit was observed: there is no state safe to
+            // digest — a conservative refutation.
+            ReplayEnd::Finished(_) if stop_at_exit => {
+                VerifyEnd::Violated(Violation::ReplayDiverged)
+            }
+            ReplayEnd::Finished(_) => return None,
+            ReplayEnd::Trapped(Trap::OutOfMemory) if heap_budget => VerifyEnd::MemBudget,
+            ReplayEnd::Trapped(t) => VerifyEnd::Violated(Violation::ReplayTrapped(t.clone())),
+            // An exhausted step budget is a resource limit, not evidence
+            // of non-commutativity.
+            ReplayEnd::BudgetExhausted => VerifyEnd::Budget,
+            ReplayEnd::DeadlineExpired => VerifyEnd::Deadline,
+            ReplayEnd::Cancelled => VerifyEnd::Cancelled,
+        })
+    }
+}
+
+/// The verdict a loop's verification outcome gives it.
+impl From<VerifyEnd> for LoopVerdict {
+    fn from(end: VerifyEnd) -> Self {
+        match end {
+            VerifyEnd::Complete => LoopVerdict::Commutative,
+            VerifyEnd::Violated(violation) => LoopVerdict::NonCommutative(violation),
+            VerifyEnd::Budget => LoopVerdict::Skipped(SkipReason::ReplayBudget),
+            VerifyEnd::Deadline => LoopVerdict::Skipped(SkipReason::Deadline),
+            VerifyEnd::Fault(msg) => LoopVerdict::Skipped(SkipReason::EngineFault(msg)),
+            VerifyEnd::Cancelled => LoopVerdict::Skipped(SkipReason::Cancelled),
+            VerifyEnd::MemBudget => LoopVerdict::Skipped(SkipReason::MemoryBudget),
+        }
+    }
 }
 
 /// The outcome of verifying one permutation set, with the counters the
@@ -114,6 +173,7 @@ struct VerifySummary {
 /// [`Machine`] from the golden snapshot lands in a dedicated
 /// `stage.restore` span instead of silently inflating (sequential) or
 /// vanishing from (parallel) the replay timing.
+#[derive(Default)]
 struct PermOutcome {
     end: VerifyEnd,
     steps: u64,
@@ -156,6 +216,41 @@ impl DigestStats {
             structural: self.structural + o.structural,
             cells: self.cells + o.cells,
         }
+    }
+
+    /// Fingerprints the state reachable from `roots` (tier 1), counting
+    /// the work.
+    fn hash(
+        &mut self,
+        machine: &Machine<'_>,
+        roots: &[Value],
+        scratch: &mut DigestScratch,
+    ) -> u128 {
+        let (h, cells) = hash_live_state(machine, roots, scratch);
+        self.hashed += 1;
+        self.cells += cells;
+        h
+    }
+
+    /// Materializes the structural digest of the state reachable from
+    /// `roots` (tier 2), counting the work.
+    fn capture(
+        &mut self,
+        machine: &Machine<'_>,
+        roots: &[Value],
+        scratch: &mut DigestScratch,
+    ) -> StateDigest {
+        let d = StateDigest::capture_with(machine, roots, scratch);
+        self.structural += 1;
+        self.cells += d.cell_count();
+        d
+    }
+
+    /// Adds this work to the `verify.digest.*` counters.
+    fn record(&self, obs: &Obs) {
+        obs.count("verify.digest.hashed", self.hashed);
+        obs.count("verify.digest.structural", self.structural);
+        obs.count("verify.digest.cells", self.cells);
     }
 }
 
@@ -228,9 +323,7 @@ impl FoldTotals {
         obs.count("journal.rollbacks", self.journal.rollbacks);
         obs.count("journal.cells_undone", self.journal.cells_undone);
         obs.count("journal.objs_discarded", self.journal.objs_discarded);
-        obs.count("verify.digest.hashed", self.digest.hashed);
-        obs.count("verify.digest.structural", self.digest.structural);
-        obs.count("verify.digest.cells", self.digest.cells);
+        self.digest.record(obs);
         record_machine_ops(obs, &self.ops);
         for &(counter, slot) in &self.faults {
             obs.count(counter, 1);
@@ -369,20 +462,81 @@ pub struct Dca {
     config: DcaConfig,
 }
 
-/// Per-loop context threaded from the public entry points into the loop
-/// tester: the loop's ordinal in analysis order (fault targeting), the
-/// resolved fault plan, and the whole-analysis deadline.
-#[derive(Clone, Copy)]
-struct LoopCtx<'p> {
-    /// The loop's position in analysis order (deterministic).
-    ordinal: usize,
+/// The set-up every public entry point shares before it tests a loop:
+/// the observer, the validated entry point, the module's effect
+/// summaries, and the run-wide fault plan, cancellation token and
+/// deadline.
+struct Prelude {
+    obs: Obs,
+    /// The `engine.analyze` span, opened before any set-up work.
+    whole: Option<Instant>,
+    main: FuncId,
+    effects: EffectMap,
     /// The resolved fault-injection plan, if any.
-    fault: Option<&'p FaultPlan>,
+    fault: Option<FaultPlan>,
+    /// The run's cancellation token, checked cooperatively at stage
+    /// boundaries and replay granules: the caller's, or an internal one
+    /// a `cancel@…` fault plan can trip.
+    cancel: Option<CancelToken>,
     /// Absolute deadline for the whole analysis call.
     analysis_deadline: Option<Instant>,
-    /// The run's cancellation token, checked cooperatively at stage
-    /// boundaries and replay granules.
-    cancel: Option<&'p CancelToken>,
+}
+
+/// One loop under test and everything its tester reads besides the
+/// engine configuration.
+struct LoopRun<'a> {
+    module: &'a Module,
+    args: &'a [Value],
+    pre: &'a Prelude,
+    lref: LoopRef,
+    tag: Option<String>,
+    view: FuncView<'a>,
+    live: Liveness,
+    /// Worker threads for this loop's permutation replays.
+    threads: usize,
+    /// The loop's position in analysis order (deterministic; fault
+    /// targeting).
+    ordinal: usize,
+}
+
+impl<'a> LoopRun<'a> {
+    /// Resolves the loop's function view, tag and liveness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lref` does not name a loop of `module`.
+    fn new(
+        module: &'a Module,
+        args: &'a [Value],
+        pre: &'a Prelude,
+        lref: LoopRef,
+        threads: usize,
+        ordinal: usize,
+    ) -> Self {
+        let view = FuncView::new(module, lref.func);
+        let live = Liveness::new_with_obs(&view, &pre.obs);
+        let tag = view.loops.get(lref.loop_id).tag.clone();
+        LoopRun {
+            module,
+            args,
+            pre,
+            lref,
+            tag,
+            view,
+            live,
+            threads,
+            ordinal,
+        }
+    }
+
+    fn l(&self) -> &Loop {
+        self.view.loops.get(self.lref.loop_id)
+    }
+
+    /// A result for this loop carrying only `verdict`.
+    fn bare(&self, verdict: LoopVerdict) -> LoopResult {
+        LoopResult::bare(self.lref, self.tag.clone(), verdict)
+    }
 }
 
 impl Dca {
@@ -425,10 +579,36 @@ impl Dca {
         Ok(main)
     }
 
-    /// The fault plan in effect: explicit configuration first, the
-    /// `DCA_FAULT` environment variable as the fallback.
-    fn resolve_fault(&self) -> Option<FaultPlan> {
-        self.config.fault.clone().or_else(FaultPlan::from_env)
+    /// Builds the [`Prelude`] of one public entry point: the observer
+    /// first (so the `engine.analyze` span covers everything), then entry
+    /// validation, the fault plan (explicit configuration first, the
+    /// `DCA_FAULT` environment variable as the fallback), the
+    /// cancellation token, the analysis deadline and the effect
+    /// summaries.
+    fn prelude(&self, module: &Module, args: &[Value]) -> Result<Prelude, DcaError> {
+        let obs = make_obs(&self.config);
+        let whole = obs.span_start();
+        let main = self.validate_entry(module, args)?;
+        let fault = self.config.fault.clone().or_else(FaultPlan::from_env);
+        // A `cancel@…` fault needs a token to trip even when the caller
+        // supplied none.
+        let cancel = self.config.cancel.clone().or_else(|| {
+            fault
+                .as_ref()
+                .is_some_and(|p| matches!(p.kind, FaultKind::Cancel))
+                .then(CancelToken::new)
+        });
+        let analysis_deadline = self.config.max_wall.analysis.map(|d| Instant::now() + d);
+        let effects = EffectMap::new_with_obs(module, &obs);
+        Ok(Prelude {
+            obs,
+            whole,
+            main,
+            effects,
+            fault,
+            cancel,
+            analysis_deadline,
+        })
     }
 
     /// A fresh interpreter honoring the configured replay heap budget:
@@ -448,19 +628,6 @@ impl Dca {
         }
     }
 
-    /// The internally-created cancellation token for a
-    /// [`FaultKind::Cancel`] plan when the caller supplied none — the
-    /// fault needs a token to trip.
-    fn internal_cancel(&self, fault: Option<&FaultPlan>) -> Option<CancelToken> {
-        (self.config.cancel.is_none() && fault.is_some_and(|p| matches!(p.kind, FaultKind::Cancel)))
-            .then(CancelToken::new)
-    }
-
-    /// The whole-analysis deadline for a call starting now.
-    fn analysis_deadline(&self) -> Option<Instant> {
-        self.config.max_wall.analysis.map(|d| Instant::now() + d)
-    }
-
     /// The deadline for one program run starting now: the per-replay limit
     /// combined with the analysis deadline (whichever is sooner). Reads
     /// the clock only when a per-replay limit is configured.
@@ -469,6 +636,17 @@ impl Dca {
         match (per_run, analysis) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
+        }
+    }
+
+    /// The governor for one replay of `run` starting now: the run
+    /// deadline (no clock read unless a wall limit is configured), the
+    /// run's cancellation token, and an optional injected trap.
+    fn governor<'r>(&self, run: &'r LoopRun<'_>, trap_at_step: Option<u64>) -> ReplayGovernor<'r> {
+        ReplayGovernor {
+            deadline: self.run_deadline(run.pre.analysis_deadline),
+            cancel: run.pre.cancel.as_ref(),
+            trap_at_step,
         }
     }
 
@@ -489,48 +667,33 @@ impl Dca {
     ///
     /// Returns [`DcaError::NoMain`] if the module has no entry point.
     pub fn analyze(&self, module: &Module, args: &[Value]) -> Result<DcaReport, DcaError> {
-        let obs = make_obs(&self.config);
         let start = Instant::now();
-        let whole = obs.span_start();
-        let main = self.validate_entry(module, args)?;
-        let fault = self.resolve_fault();
-        let analysis_deadline = self.analysis_deadline();
-        let effects = EffectMap::new_with_obs(module, &obs);
-        // Collect every loop of the module in deterministic (function,
-        // loop) order; this is both the work list and the report order.
-        let mut items: Vec<LoopRef> = Vec::new();
-        for (i, _) in module.funcs.iter().enumerate() {
-            let fid = FuncId(i as u32);
-            let view = FuncView::new(module, fid);
-            for l in view.loops.iter() {
-                items.push(LoopRef {
-                    func: fid,
-                    loop_id: l.id,
-                });
-            }
-        }
-        // The run's cancellation token: the caller's, or an internal one
-        // a `cancel@…` fault plan can trip.
-        let internal_cancel = self.internal_cancel(fault.as_ref());
-        let cancel = self.config.cancel.as_ref().or(internal_cancel.as_ref());
+        let pre = self.prelude(module, args)?;
+        let obs = &pre.obs;
+        // Every loop of the module in deterministic (function, loop)
+        // order, with its tag; this is both the work list and the report
+        // order.
+        let items = dca_ir::all_loops(module);
         // Open the verdict cache, if one is configured. Runs with
         // verdict-perturbing fault injection or wall deadlines bypass it
         // wholesale — their verdicts are not functions of the cache key —
         // and a damaged file bypasses itself inside `open`.
-        let perturbing = fault.as_ref().is_some_and(|p| p.kind.perturbs_verdicts());
-        let cache: Option<VerdictCache> = resolve_cache_path(&self.config).map(|path| {
-            if perturbing || !self.config.max_wall.is_unlimited() {
-                VerdictCache::bypass(&path)
-            } else {
-                VerdictCache::open(&path)
-            }
-        });
+        let fault = pre.fault.as_ref();
+        let perturbing = fault.is_some_and(|p| p.kind.perturbs_verdicts());
+        let cache: Option<VerdictCache> =
+            resolve_store_path("DCA_CACHE", &self.config.cache).map(|path| {
+                if perturbing || !self.config.max_wall.is_unlimited() {
+                    VerdictCache::bypass(&path)
+                } else {
+                    VerdictCache::open(&path)
+                }
+            });
         // Open the run journal, if one is configured. Unlike the cache it
         // stays active under fault injection — that is how quarantine
         // records land — but under a perturbing plan it only *serves*
         // quarantine entries and only *records* quarantine verdicts.
         let journal: Option<RunJournal> =
-            resolve_journal_path(&self.config).map(|p| RunJournal::open(&p));
+            resolve_store_path("DCA_JOURNAL", &self.config.journal).map(|p| RunJournal::open(&p));
         // Per-loop keys, index-aligned with `items` and shared by the
         // cache and the journal, so consulting either inside the parallel
         // fan-out is a read-only map lookup.
@@ -544,86 +707,43 @@ impl Dca {
         } else {
             Vec::new()
         };
+        // The verdict-source chain, consulted before any recording or
+        // replay: the journal first — an interrupted run's decided loops
+        // are served exactly as recorded, including skips the cache
+        // refuses to persist — then the cache. `None` means verify afresh.
+        let served = |lref: LoopRef, key: u128| -> Option<LoopResult> {
+            let entry = journal.as_ref().and_then(|j| j.decide(key));
+            if let Some(e) = entry.filter(|e| e.quarantined || !perturbing) {
+                return Some(LoopResult {
+                    resumed: true,
+                    ..LoopResult::served(lref, e.cached)
+                });
+            }
+            match cache.as_ref()?.decide(key) {
+                CacheDecision::Hit(hit) => Some(LoopResult {
+                    cached: true,
+                    ..LoopResult::served(lref, hit)
+                }),
+                CacheDecision::Miss | CacheDecision::Bypass => None,
+            }
+        };
         // Split the worker budget: independent loops fan out across
         // `outer` workers, and each loop's permutation replays across
         // `inner` — so a module with one hot loop still uses every core.
         let threads = effective_threads(self.config.threads);
         let (outer, inner) = split_threads(threads, items.len());
-        let outcomes = parallel_map(outer, &items, &obs, "loops", |i, lref| {
+        let outcomes = parallel_map(outer, &items, obs, "loops", |i, (lref, tag)| {
             // A tripped token means stop at the next safe point: loops
             // not yet started are skipped outright, and the partial
             // report stays valid.
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                let tag = FuncView::new(module, lref.func)
-                    .loops
-                    .get(lref.loop_id)
-                    .tag
-                    .clone();
-                return (
-                    LoopResult {
-                        lref: *lref,
-                        tag,
-                        verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                        trips: 0,
-                        permutations_tested: 0,
-                        replay_steps: 0,
-                        wall: Duration::ZERO,
-                        cached: false,
-                        resumed: false,
-                    },
-                    0u64,
-                );
+            if pre.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                let verdict = LoopVerdict::Skipped(SkipReason::Cancelled);
+                return (LoopResult::bare(*lref, tag.clone(), verdict), 0u64);
             }
             let key = keys.get(i).copied();
-            // Journal consultation comes first: an interrupted run's
-            // decided loops are served exactly as recorded, including
-            // skips the cache refuses to persist.
-            if let (Some(j), Some(key)) = (&journal, key) {
-                if let Some(e) = j.decide(key) {
-                    if e.quarantined || !perturbing {
-                        return (
-                            LoopResult {
-                                lref: *lref,
-                                tag: e.cached.tag,
-                                verdict: e.cached.verdict,
-                                trips: e.cached.trips,
-                                permutations_tested: e.cached.permutations_tested,
-                                replay_steps: e.cached.replay_steps,
-                                wall: Duration::ZERO,
-                                cached: false,
-                                resumed: true,
-                            },
-                            0u64,
-                        );
-                    }
-                }
+            if let Some(r) = key.and_then(|key| served(*lref, key)) {
+                return (r, 0u64);
             }
-            // Cache consultation happens before any recording or replay:
-            // a hit serves the stored verdict outright.
-            if let (Some(vc), Some(key)) = (&cache, key) {
-                if let CacheDecision::Hit(hit) = vc.decide(key) {
-                    return (
-                        LoopResult {
-                            lref: *lref,
-                            tag: hit.tag,
-                            verdict: hit.verdict,
-                            trips: hit.trips,
-                            permutations_tested: hit.permutations_tested,
-                            replay_steps: hit.replay_steps,
-                            wall: Duration::ZERO,
-                            cached: true,
-                            resumed: false,
-                        },
-                        0u64,
-                    );
-                }
-            }
-            let ctx = LoopCtx {
-                ordinal: i,
-                fault: fault.as_ref(),
-                analysis_deadline,
-                cancel,
-            };
             // Write-ahead: announce the loop before verifying it, so an
             // operator tailing the journal sees what was in flight when a
             // kill lands.
@@ -640,14 +760,9 @@ impl Dca {
             let mut retries = 0u64;
             let result = loop {
                 let r = catch_contained(|| {
-                    let view = FuncView::new(module, lref.func);
-                    let live = Liveness::new_with_obs(&view, &obs);
-                    let l = view.loops.get(lref.loop_id);
-                    self.test_loop_inner(
-                        module, main, args, &effects, &view, &live, l, inner, &obs, ctx,
-                    )
+                    self.test_one(&LoopRun::new(module, args, &pre, *lref, inner, i))
                 })
-                .unwrap_or_else(|msg| engine_fault_result(*lref, msg));
+                .unwrap_or_else(|msg| LoopResult::engine_fault(*lref, msg));
                 let faulted = matches!(r.verdict, LoopVerdict::Skipped(SkipReason::EngineFault(_)));
                 if faulted && retries < u64::from(self.config.fault_retries) {
                     retries += 1;
@@ -665,13 +780,7 @@ impl Dca {
                     LoopVerdict::Skipped(SkipReason::EngineFault(_))
                 );
                 if quarantine || !perturbing {
-                    let v = CachedVerdict {
-                        tag: result.tag.clone(),
-                        verdict: result.verdict.clone(),
-                        trips: result.trips,
-                        permutations_tested: result.permutations_tested,
-                        replay_steps: result.replay_steps,
-                    };
+                    let v = CachedVerdict::from(&result);
                     j.record_verdict(key, &result.lref.to_string(), &v, quarantine);
                 }
             }
@@ -727,19 +836,12 @@ impl Dca {
                         stats.hits += 1;
                     } else {
                         stats.misses += 1;
-                        let v = CachedVerdict {
-                            tag: r.tag.clone(),
-                            verdict: r.verdict.clone(),
-                            trips: r.trips,
-                            permutations_tested: r.permutations_tested,
-                            replay_steps: r.replay_steps,
-                        };
-                        if vc.store(keys[i], &v) {
+                        if vc.store(keys[i], &CachedVerdict::from(r)) {
                             stats.stores += 1;
                         }
                     }
                 }
-                if vc.save_faulted(fault.as_ref()).is_err() {
+                if vc.save_faulted(fault).is_err() {
                     stats.faults += 1;
                 }
             }
@@ -766,7 +868,7 @@ impl Dca {
         report.wall = start.elapsed();
         report.cache = cache_stats;
         report.journal = journal_stats;
-        obs.span_end("engine.analyze", whole);
+        obs.span_end("engine.analyze", pre.whole);
         report.obs = obs.rollup();
         Ok(report)
     }
@@ -817,28 +919,12 @@ impl Dca {
         lref: LoopRef,
         args: &[Value],
     ) -> Result<LoopResult, DcaError> {
-        let obs = make_obs(&self.config);
-        let main = self.validate_entry(module, args)?;
-        let fault = self.resolve_fault();
-        let internal_cancel = self.internal_cancel(fault.as_ref());
-        let ctx = LoopCtx {
-            ordinal: 0,
-            fault: fault.as_ref(),
-            analysis_deadline: self.analysis_deadline(),
-            cancel: self.config.cancel.as_ref().or(internal_cancel.as_ref()),
-        };
-        let effects = EffectMap::new_with_obs(module, &obs);
-        let view = FuncView::new(module, lref.func);
-        let live = Liveness::new_with_obs(&view, &obs);
-        let l = view.loops.get(lref.loop_id);
+        let pre = self.prelude(module, args)?;
         let threads = effective_threads(self.config.threads);
-        let result = catch_contained(|| {
-            self.test_loop_inner(
-                module, main, args, &effects, &view, &live, l, threads, &obs, ctx,
-            )
-        })
-        .unwrap_or_else(|msg| engine_fault_result(lref, msg));
-        obs.flush();
+        let run = LoopRun::new(module, args, &pre, lref, threads, 0);
+        let result = catch_contained(|| self.test_one(&run))
+            .unwrap_or_else(|msg| LoopResult::engine_fault(lref, msg));
+        pre.obs.flush();
         Ok(result)
     }
 
@@ -863,376 +949,165 @@ impl Dca {
         args: &[Value],
         k: u32,
     ) -> Result<Vec<LoopResult>, DcaError> {
-        let obs = make_obs(&self.config);
-        let main = self.validate_entry(module, args)?;
-        let fault = self.resolve_fault();
-        let internal_cancel = self.internal_cancel(fault.as_ref());
-        let ctx = LoopCtx {
-            ordinal: 0,
-            fault: fault.as_ref(),
-            analysis_deadline: self.analysis_deadline(),
-            cancel: self.config.cancel.as_ref().or(internal_cancel.as_ref()),
-        };
-        let effects = EffectMap::new_with_obs(module, &obs);
-        let view = FuncView::new(module, lref.func);
-        let live = Liveness::new_with_obs(&view, &obs);
-        let l = view.loops.get(lref.loop_id);
+        let pre = self.prelude(module, args)?;
         let threads = effective_threads(self.config.threads);
-        let slice = IteratorSlice::compute_with_obs(&view, l, &effects, &obs);
-        let base = LoopResult {
-            lref,
-            tag: l.tag.clone(),
-            verdict: LoopVerdict::NotExercised,
-            trips: 0,
-            permutations_tested: 0,
-            replay_steps: 0,
-            wall: std::time::Duration::ZERO,
-            cached: false,
-            resumed: false,
-        };
-        if let Some(reason) = exclusion(&view, l, &slice, &effects.io_funcs()) {
-            return Ok(vec![LoopResult {
-                verdict: LoopVerdict::Excluded(reason),
-                ..base
-            }]);
+        let run = LoopRun::new(module, args, &pre, lref, threads, 0);
+        let (effects, l) = (&pre.effects, run.l());
+        let slice = IteratorSlice::compute_with_obs(&run.view, l, effects, &pre.obs);
+        if let Some(reason) = exclusion(&run.view, l, &slice, &effects.io_funcs()) {
+            return Ok(vec![run.bare(LoopVerdict::Excluded(reason))]);
         }
         let mut out = Vec::new();
         for invocation in 0..k {
             let inv_start = Instant::now();
-            let rec_t = obs.span_start();
-            let mut machine = self.new_machine(module);
-            let rec = record_golden_governed(
-                &mut machine,
-                main,
-                args,
-                view.id,
-                l,
-                &slice,
-                invocation,
-                self.config.max_trip,
-                self.config.max_steps,
-                2,
-                self.run_deadline(ctx.analysis_deadline),
-                ctx.cancel,
-            );
-            obs.span_end("stage.record", rec_t);
-            obs.count("engine.golden_runs", 1);
-            record_machine_ops(&obs, &machine.op_counts());
-            let golden = match rec {
-                Ok(g) => g,
-                Err(RecordError::NotExercised) => break,
-                Err(RecordError::TripLimit) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::TripLimit),
-                        ..base.clone()
-                    });
+            match self.test_invocation(&run, &slice, invocation) {
+                Ok((trips, summary)) => out.push(LoopResult {
+                    trips,
+                    permutations_tested: summary.tested,
+                    replay_steps: summary.replay_steps,
+                    wall: inv_start.elapsed(),
+                    ..run.bare(summary.end.into())
+                }),
+                Err(None) => break,
+                Err(Some(reason)) => {
+                    out.push(run.bare(LoopVerdict::Skipped(reason)));
                     break;
                 }
-                Err(RecordError::Trapped(Trap::OutOfMemory))
-                    if self.config.max_heap_cells.is_some() =>
-                {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::MemoryBudget),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::Trapped(t)) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::GoldenTrapped(t)),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::BudgetExhausted) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::GoldenBudget),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::DeadlineExpired) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Deadline),
-                        ..base.clone()
-                    });
-                    break;
-                }
-                Err(RecordError::Cancelled) => {
-                    out.push(LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                        ..base.clone()
-                    });
-                    break;
-                }
-            };
-            let trip = golden.iters.len();
-            let seed = derive_seed(self.config.seed, lref.func.0, lref.loop_id.0, invocation);
-            let perms = schedules(&self.config.permutations, trip, seed);
-            let summary = self.verify_permutations(
-                module, &view, &live, l, &slice, &golden, &perms, threads, &obs, ctx,
-            );
-            let verdict = match summary.end {
-                VerifyEnd::Complete => LoopVerdict::Commutative,
-                VerifyEnd::Violated(violation) => LoopVerdict::NonCommutative(violation),
-                VerifyEnd::Budget => LoopVerdict::Skipped(SkipReason::ReplayBudget),
-                VerifyEnd::Deadline => LoopVerdict::Skipped(SkipReason::Deadline),
-                VerifyEnd::Fault(msg) => LoopVerdict::Skipped(SkipReason::EngineFault(msg)),
-                VerifyEnd::Cancelled => LoopVerdict::Skipped(SkipReason::Cancelled),
-                VerifyEnd::MemBudget => LoopVerdict::Skipped(SkipReason::MemoryBudget),
-            };
-            out.push(LoopResult {
-                verdict,
-                trips: trip,
-                permutations_tested: summary.tested,
-                replay_steps: summary.replay_steps,
-                wall: inv_start.elapsed(),
-                ..base.clone()
-            });
+            }
         }
-        obs.flush();
+        pre.obs.flush();
         Ok(out)
     }
 
-    /// Tests one loop with `threads` workers for its permutation replays;
-    /// stamps the wall-clock time spent on the result.
-    #[allow(clippy::too_many_arguments)]
-    fn test_loop_inner(
-        &self,
-        module: &Module,
-        main: FuncId,
-        args: &[Value],
-        effects: &EffectMap,
-        view: &FuncView<'_>,
-        live: &Liveness,
-        l: &Loop,
-        threads: usize,
-        obs: &Obs,
-        ctx: LoopCtx<'_>,
-    ) -> LoopResult {
+    /// Tests one loop: the static stage, then each configured invocation
+    /// through [`Dca::test_invocation`], aggregated into one verdict.
+    /// Stamps the wall-clock time spent on the result.
+    fn test_one(&self, run: &LoopRun<'_>) -> LoopResult {
         let start = Instant::now();
-        let mut result = self.test_loop_untimed(
-            module, main, args, effects, view, live, l, threads, obs, ctx,
-        );
-        result.wall = start.elapsed();
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn test_loop_untimed(
-        &self,
-        module: &Module,
-        main: FuncId,
-        args: &[Value],
-        effects: &EffectMap,
-        view: &FuncView<'_>,
-        live: &Liveness,
-        l: &Loop,
-        threads: usize,
-        obs: &Obs,
-        ctx: LoopCtx<'_>,
-    ) -> LoopResult {
-        let lref = LoopRef {
-            func: view.id,
-            loop_id: l.id,
+        let done = |verdict| LoopResult {
+            wall: start.elapsed(),
+            ..run.bare(verdict)
         };
-        let base = LoopResult {
-            lref,
-            tag: l.tag.clone(),
-            verdict: LoopVerdict::NotExercised,
-            trips: 0,
-            permutations_tested: 0,
-            replay_steps: 0,
-            wall: std::time::Duration::ZERO,
-            cached: false,
-            resumed: false,
-        };
+        let pre = run.pre;
         // An analysis deadline that has already expired skips the loop up
         // front — the report stays complete, each remaining loop just
         // costs one clock read.
-        if let Some(d) = ctx.analysis_deadline {
-            if Instant::now() >= d {
-                return LoopResult {
-                    verdict: LoopVerdict::Skipped(SkipReason::Deadline),
-                    ..base
-                };
-            }
+        if pre.analysis_deadline.is_some_and(|d| Instant::now() >= d) {
+            return done(LoopVerdict::Skipped(SkipReason::Deadline));
         }
         // A tripped cancel token likewise skips up front, keeping the
         // partial report valid.
-        if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
-            return LoopResult {
-                verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                ..base
-            };
+        if pre.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return done(LoopVerdict::Skipped(SkipReason::Cancelled));
         }
         // ---- static stage (paper §IV-A): separation + exclusion.
+        let (obs, effects, l) = (&pre.obs, &pre.effects, run.l());
         let static_t = obs.span_start();
-        let slice = IteratorSlice::compute_with_obs(view, l, effects, obs);
-        let excluded = exclusion(view, l, &slice, &effects.io_funcs());
+        let slice = IteratorSlice::compute_with_obs(&run.view, l, effects, obs);
+        let excluded = exclusion(&run.view, l, &slice, &effects.io_funcs());
         obs.span_end("stage.static", static_t);
         if let Some(reason) = excluded {
-            return LoopResult {
-                verdict: LoopVerdict::Excluded(reason),
-                ..base
-            };
+            return done(LoopVerdict::Excluded(reason));
         }
-        // ---- dynamic stage: aggregate over the tested invocations.
-        let mut trips_seen = 0;
-        let mut perms_total = 0;
-        let mut steps_total = 0u64;
-        let mut exercised = false;
+        // ---- dynamic stage: aggregate over the tested invocations. The
+        // first terminal outcome decides the verdict and reports its own
+        // invocation's trip count; otherwise the largest trip count seen.
+        let (mut trips, mut perms, mut steps) = (0, 0, 0u64);
+        let mut end = VerifyEnd::Complete;
         for invocation in 0..self.config.invocations {
-            let rec_t = obs.span_start();
-            let mut machine = self.new_machine(module);
-            let rec = record_golden_governed(
-                &mut machine,
-                main,
-                args,
-                view.id,
-                l,
-                &slice,
-                invocation,
-                self.config.max_trip,
-                self.config.max_steps,
-                2,
-                self.run_deadline(ctx.analysis_deadline),
-                ctx.cancel,
-            );
-            obs.span_end("stage.record", rec_t);
-            obs.count("engine.golden_runs", 1);
-            record_machine_ops(obs, &machine.op_counts());
-            let golden = match rec {
-                Ok(g) => g,
-                Err(RecordError::NotExercised) => break,
-                Err(RecordError::TripLimit) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::TripLimit),
-                        ..base
-                    }
-                }
-                Err(RecordError::Trapped(Trap::OutOfMemory))
-                    if self.config.max_heap_cells.is_some() =>
-                {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::MemoryBudget),
-                        ..base
-                    }
-                }
-                Err(RecordError::Trapped(t)) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::GoldenTrapped(t)),
-                        ..base
-                    }
-                }
-                Err(RecordError::BudgetExhausted) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::GoldenBudget),
-                        ..base
-                    }
-                }
-                Err(RecordError::DeadlineExpired) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Deadline),
-                        ..base
-                    }
-                }
-                Err(RecordError::Cancelled) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                        ..base
-                    }
-                }
+            let (trip, summary) = match self.test_invocation(run, &slice, invocation) {
+                Ok(tested) => tested,
+                Err(None) => break,
+                Err(Some(reason)) => return done(LoopVerdict::Skipped(reason)),
             };
-            let trip = golden.iters.len();
-            trips_seen = trips_seen.max(trip);
-            if trip < 2 {
-                // Nothing to permute in this invocation.
-                continue;
+            perms += summary.tested;
+            steps += summary.replay_steps;
+            end = summary.end;
+            if end != VerifyEnd::Complete {
+                trips = trip;
+                break;
             }
-            exercised = true;
-            let seed = derive_seed(self.config.seed, lref.func.0, lref.loop_id.0, invocation);
-            let perms = schedules(&self.config.permutations, trip, seed);
-            let summary = self.verify_permutations(
-                module, view, live, l, &slice, &golden, &perms, threads, obs, ctx,
-            );
-            perms_total += summary.tested;
-            steps_total += summary.replay_steps;
-            match summary.end {
-                VerifyEnd::Complete => {}
-                VerifyEnd::Violated(violation) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::NonCommutative(violation),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::Budget => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::ReplayBudget),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::Deadline => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Deadline),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::Fault(msg) => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::EngineFault(msg)),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::Cancelled => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::Cancelled),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-                VerifyEnd::MemBudget => {
-                    return LoopResult {
-                        verdict: LoopVerdict::Skipped(SkipReason::MemoryBudget),
-                        trips: trip,
-                        permutations_tested: perms_total,
-                        replay_steps: steps_total,
-                        ..base
-                    }
-                }
-            }
+            trips = trips.max(trip);
         }
-        if !exercised {
-            return LoopResult {
-                trips: trips_seen,
-                ..base
-            };
-        }
+        // Every recorded invocation has at least two iterations, so zero
+        // trips means none was recorded.
+        let verdict = if trips == 0 {
+            LoopVerdict::NotExercised
+        } else {
+            end.into()
+        };
         LoopResult {
-            verdict: LoopVerdict::Commutative,
-            trips: trips_seen,
-            permutations_tested: perms_total,
-            replay_steps: steps_total,
-            ..base
+            trips,
+            permutations_tested: perms,
+            replay_steps: steps,
+            ..done(verdict)
         }
     }
 
+    /// One pass of the paper's pipeline (Fig. 3) over one invocation of
+    /// the loop: record the golden run of the `invocation`-th eligible
+    /// invocation (trip ≥ 2), derive its permutation schedule, replay and
+    /// verify. Returns the invocation's trip count and verification
+    /// summary; `Err(None)` when the workload has no such invocation,
+    /// `Err(Some(reason))` when its golden run could not be recorded.
+    fn test_invocation(
+        &self,
+        run: &LoopRun<'_>,
+        slice: &IteratorSlice,
+        invocation: u32,
+    ) -> Result<(usize, VerifySummary), Option<SkipReason>> {
+        let obs = &run.pre.obs;
+        let rec_t = obs.span_start();
+        let mut machine = self.new_machine(run.module);
+        let rec = record_golden_governed(
+            &mut machine,
+            run.pre.main,
+            run.args,
+            run.lref.func,
+            run.l(),
+            slice,
+            invocation,
+            self.config.max_trip,
+            self.config.max_steps,
+            2,
+            self.run_deadline(run.pre.analysis_deadline),
+            run.pre.cancel.as_ref(),
+        );
+        obs.span_end("stage.record", rec_t);
+        obs.count("engine.golden_runs", 1);
+        record_machine_ops(obs, &machine.op_counts());
+        let golden = rec.map_err(|e| record_skip(e, self.config.max_heap_cells.is_some()))?;
+        let trip = golden.iters.len();
+        let seed = derive_seed(
+            self.config.seed,
+            run.lref.func.0,
+            run.lref.loop_id.0,
+            invocation,
+        );
+        let perms = schedules(&self.config.permutations, trip, seed);
+        Ok((trip, self.verify_permutations(run, slice, &golden, &perms)))
+    }
+
+    /// Replays the loop in its original iteration order on `machine`,
+    /// which must sit at the golden snapshot, up to the loop exit. This
+    /// yields the reference state under the loop-exit scope and the
+    /// golden side of a tier-2 divergence diagnosis.
+    fn identity_replay(
+        &self,
+        run: &LoopRun<'_>,
+        slice: &IteratorSlice,
+        golden: &GoldenRecord,
+        machine: &mut Machine<'_>,
+    ) -> ReplayEnd {
+        let identity: Vec<usize> = (0..golden.iters.len()).collect();
+        let (view, l) = (&run.view, run.l());
+        let mut ctl = ReplayController::new(view.id, view.func, l, slice, golden, &identity);
+        let gov = self.governor(run, None);
+        run_replay_governed(machine, &mut ctl, true, self.config.max_steps, gov)
+    }
+
     /// Verifies every permutation against the golden reference, fanning
-    /// the replays out across up to `threads` workers.
+    /// the replays out across up to `run.threads` workers.
     ///
     /// Each worker owns a private [`Machine`] restored from the shared
     /// golden snapshot, so replays share no mutable state. Early exit is
@@ -1241,20 +1116,14 @@ impl Dca {
     /// the fold below reads exactly the prefix the sequential engine would
     /// have executed — verdicts and counters are identical for every
     /// thread count.
-    #[allow(clippy::too_many_arguments)]
     fn verify_permutations(
         &self,
-        module: &Module,
-        view: &FuncView<'_>,
-        live: &Liveness,
-        l: &Loop,
+        run: &LoopRun<'_>,
         slice: &IteratorSlice,
         golden: &GoldenRecord,
         perms: &[Vec<usize>],
-        threads: usize,
-        obs: &Obs,
-        ctx: LoopCtx<'_>,
     ) -> VerifySummary {
+        let (obs, view, l) = (&run.pre.obs, &run.view, run.l());
         // Per-replay timing only happens when obs is live; disabled runs
         // never read the clock here.
         let timing = obs.is_enabled();
@@ -1267,112 +1136,61 @@ impl Dca {
         let hashed = stop_at_exit
             && self.config.float_tolerance == 0.0
             && self.config.digest == DigestMode::Auto;
-        let roots = stop_at_exit.then(|| digest_roots(view, live, l));
-        let governed = !self.config.max_wall.is_unlimited();
+        let roots = stop_at_exit.then(|| digest_roots(view, &run.live, l));
+        let heap_budget = self.config.max_heap_cells.is_some();
         let mut reference_steps = 0u64;
         // Under the loop-exit scope the reference state comes from an
         // identity replay (identical by construction to the golden run up
         // to the exit point).
         let reference = if stop_at_exit {
-            let identity: Vec<usize> = (0..golden.iters.len()).collect();
             let t_restore = t_start();
-            let mut machine = self.new_machine(module);
+            let mut machine = self.new_machine(run.module);
             machine.restore(&golden.snapshot);
             obs.record_span("stage.restore", t_since(t_restore), 1);
             let before = machine.steps();
-            let mut ctl = ReplayController::new(view.id, view.func, l, slice, golden, &identity);
             let t_replay = t_start();
-            let gov = ReplayGovernor {
-                deadline: if governed {
-                    self.run_deadline(ctx.analysis_deadline)
-                } else {
-                    None
-                },
-                cancel: ctx.cancel,
-                trap_at_step: None,
-            };
-            let end = run_replay_governed(&mut machine, &mut ctl, true, self.config.max_steps, gov);
+            let end = self.identity_replay(run, slice, golden, &mut machine);
             obs.record_span("stage.replay", t_since(t_replay), 1);
             reference_steps = machine.steps() - before;
             obs.count("engine.replays", 1);
             record_machine_ops(obs, &machine.op_counts());
-            match end {
-                ReplayEnd::LoopExited => {}
-                // `Finished` without a loop exit means the frame unwound
-                // before the loop completed: there is no state to digest.
-                ReplayEnd::Finished(_) => {
-                    return VerifySummary {
-                        end: VerifyEnd::Violated(Violation::ReplayDiverged),
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::BudgetExhausted => {
-                    return VerifySummary {
-                        end: VerifyEnd::Budget,
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::Trapped(Trap::OutOfMemory) if self.config.max_heap_cells.is_some() => {
-                    return VerifySummary {
-                        end: VerifyEnd::MemBudget,
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::Trapped(t) => {
-                    return VerifySummary {
-                        end: VerifyEnd::Violated(Violation::ReplayTrapped(t)),
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::DeadlineExpired => {
-                    return VerifySummary {
-                        end: VerifyEnd::Deadline,
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
-                ReplayEnd::Cancelled => {
-                    return VerifySummary {
-                        end: VerifyEnd::Cancelled,
-                        tested: 0,
-                        replay_steps: reference_steps,
-                    }
-                }
+            if let Some(end) = VerifyEnd::forced_by(&end, true, heap_budget) {
+                return VerifySummary {
+                    end,
+                    tested: 0,
+                    replay_steps: reference_steps,
+                };
             }
             let t_digest = t_start();
             let dr = roots.as_ref().expect("loop-exit scope");
             let mut scratch = DigestScratch::new();
             let mut vals = Vec::with_capacity(dr.vars.len());
             read_roots(&machine, &dr.vars, &mut vals);
+            let mut digest = DigestStats::default();
             let r = if hashed {
-                let (h, cells) = hash_live_state(&machine, &vals, &mut scratch);
-                obs.count("verify.digest.hashed", 1);
-                obs.count("verify.digest.cells", cells);
-                Reference::Hash(h)
+                Reference::Hash(digest.hash(&machine, &vals, &mut scratch))
             } else {
-                let d = StateDigest::capture_with(&machine, &vals, &mut scratch);
-                obs.count("verify.digest.structural", 1);
-                obs.count("verify.digest.cells", d.cell_count());
-                Reference::Digest(d)
+                Reference::Digest(digest.capture(&machine, &vals, &mut scratch))
             };
+            digest.record(obs);
             obs.record_span("stage.verify", t_since(t_digest), 1);
             Some(r)
         } else {
             None
         };
-        let check_one = |w: &mut ReplayWorker<'_>, slot: usize, perm: &Vec<usize>| -> PermOutcome {
-            // Deterministic fault targeting: the (loop ordinal, slot)
-            // pair is position-based, so the same replay is hit at every
-            // thread count. `KillSave` targets the cache save, not a
-            // replay — its positional match here is incidental.
-            let injected = ctx
+        // Deterministic fault targeting: the (loop ordinal, slot) pair is
+        // position-based, so the same replay is hit at every thread
+        // count. `KillSave` targets the cache save, not a replay — its
+        // positional match here is incidental.
+        let injected_at = |slot: usize| {
+            run.pre
                 .fault
-                .and_then(|p| p.for_replay(ctx.ordinal, slot))
-                .filter(|k| !matches!(k, FaultKind::KillSave { .. }));
+                .as_ref()
+                .and_then(|p| p.for_replay(run.ordinal, slot))
+                .filter(|k| !matches!(k, FaultKind::KillSave { .. }))
+        };
+        let check_one = |w: &mut ReplayWorker<'_>, slot: usize, perm: &Vec<usize>| -> PermOutcome {
+            let injected = injected_at(slot);
             if matches!(injected, Some(FaultKind::Stall)) {
                 std::thread::sleep(STALL_DURATION);
             }
@@ -1380,7 +1198,7 @@ impl Dca {
                 // Trip the run's token exactly where a user interrupt
                 // would land mid-verification; the governor observes it
                 // at the next granule boundary.
-                if let Some(c) = ctx.cancel {
+                if let Some(c) = &run.pre.cancel {
                     c.cancel();
                 }
             }
@@ -1419,58 +1237,46 @@ impl Dca {
                 // recovery path above.
                 panic!("injected fault: panic in replay slot {slot}");
             }
-            let gov = ReplayGovernor {
-                deadline: if governed {
-                    self.run_deadline(ctx.analysis_deadline)
-                } else {
-                    None
-                },
-                cancel: ctx.cancel,
-                trap_at_step: match injected {
-                    Some(FaultKind::Trap { at_step }) => Some(at_step),
-                    _ => None,
-                },
+            let trap_at_step = match injected {
+                Some(FaultKind::Trap { at_step }) => Some(at_step),
+                _ => None,
             };
             let end = run_replay_governed(
                 &mut w.machine,
                 &mut ctl,
                 stop_at_exit,
                 self.config.max_steps,
-                gov,
+                self.governor(run, trap_at_step),
             );
             let replay = t_since(t_replay);
             let steps = w.machine.steps() - before;
             let t_verify = t_start();
             let mut digest = DigestStats::default();
-            let end = match (&self.config.verify_scope, end) {
-                (VerifyScope::ProgramEnd, ReplayEnd::Finished(ret)) => {
+            // An injected `AllocFail`'s out-of-memory trap keeps counting
+            // as a contained violation, never as the heap budget.
+            let heap_budget = heap_budget && !matches!(injected, Some(FaultKind::AllocFail { .. }));
+            let end = match (VerifyEnd::forced_by(&end, stop_at_exit, heap_budget), end) {
+                (Some(forced), _) => forced,
+                (None, ReplayEnd::Finished(ret)) => {
                     // Compare against the machine's own output buffer —
                     // no per-replay outcome materialization.
-                    if golden.outcome.matches_parts(
-                        w.machine.output(),
-                        &ret,
-                        self.config.float_tolerance,
-                    ) {
+                    let tol = self.config.float_tolerance;
+                    if golden.outcome.matches_parts(w.machine.output(), &ret, tol) {
                         VerifyEnd::Complete
                     } else {
                         VerifyEnd::Violated(Violation::OutcomeMismatch(
-                            golden.outcome.first_divergence(
-                                w.machine.output(),
-                                &ret,
-                                self.config.float_tolerance,
-                            ),
+                            golden
+                                .outcome
+                                .first_divergence(w.machine.output(), &ret, tol),
                         ))
                     }
                 }
-                (VerifyScope::LoopExit, ReplayEnd::LoopExited) => {
+                (None, _) => {
                     let dr = roots.as_ref().expect("loop-exit scope");
                     read_roots(&w.machine, &dr.vars, &mut w.roots);
                     match reference.as_ref().expect("captured above") {
                         Reference::Hash(expected) => {
-                            let (h, cells) = hash_live_state(&w.machine, &w.roots, &mut w.scratch);
-                            digest.hashed += 1;
-                            digest.cells += cells;
-                            if h == *expected {
+                            if digest.hash(&w.machine, &w.roots, &mut w.scratch) == *expected {
                                 VerifyEnd::Complete
                             } else {
                                 // Tier-2 diagnostics: the 16-byte reference
@@ -1483,43 +1289,16 @@ impl Dca {
                                 // measured before the verify step, so the
                                 // diagnostic replay never perturbs
                                 // `replay_steps`.
-                                let permuted =
-                                    StateDigest::capture_with(&w.machine, &w.roots, &mut w.scratch);
-                                digest.structural += 1;
-                                digest.cells += permuted.cell_count();
+                                let permuted = digest.capture(&w.machine, &w.roots, &mut w.scratch);
                                 w.machine.rollback();
                                 w.machine.clear_alloc_fault();
                                 w.machine.begin_journal();
-                                let identity: Vec<usize> = (0..golden.iters.len()).collect();
-                                let mut ictl = ReplayController::new(
-                                    view.id, view.func, l, slice, golden, &identity,
-                                );
-                                let igov = ReplayGovernor {
-                                    deadline: if governed {
-                                        self.run_deadline(ctx.analysis_deadline)
-                                    } else {
-                                        None
-                                    },
-                                    cancel: ctx.cancel,
-                                    trap_at_step: None,
-                                };
-                                let iend = run_replay_governed(
-                                    &mut w.machine,
-                                    &mut ictl,
-                                    true,
-                                    self.config.max_steps,
-                                    igov,
-                                );
+                                let iend = self.identity_replay(run, slice, golden, &mut w.machine);
                                 let div = if matches!(iend, ReplayEnd::LoopExited) {
                                     read_roots(&w.machine, &dr.vars, &mut w.roots);
-                                    let golden_digest = StateDigest::capture_with(
-                                        &w.machine,
-                                        &w.roots,
-                                        &mut w.scratch,
-                                    );
-                                    digest.structural += 1;
-                                    digest.cells += golden_digest.cell_count();
-                                    golden_digest.first_divergence(&permuted, 0.0, &dr.names)
+                                    digest
+                                        .capture(&w.machine, &w.roots, &mut w.scratch)
+                                        .first_divergence(&permuted, 0.0, &dr.names)
                                 } else {
                                     // The diagnostic replay itself hit a
                                     // budget/deadline: report the mismatch
@@ -1530,47 +1309,17 @@ impl Dca {
                             }
                         }
                         Reference::Digest(reference) => {
-                            let d = StateDigest::capture_with(&w.machine, &w.roots, &mut w.scratch);
-                            digest.structural += 1;
-                            digest.cells += d.cell_count();
-                            if reference.matches(&d, self.config.float_tolerance) {
+                            let d = digest.capture(&w.machine, &w.roots, &mut w.scratch);
+                            let tol = self.config.float_tolerance;
+                            if reference.matches(&d, tol) {
                                 VerifyEnd::Complete
                             } else {
                                 VerifyEnd::Violated(Violation::OutcomeMismatch(
-                                    reference.first_divergence(
-                                        &d,
-                                        self.config.float_tolerance,
-                                        &dr.names,
-                                    ),
+                                    reference.first_divergence(&d, tol, &dr.names),
                                 ))
                             }
                         }
                     }
-                }
-                (VerifyScope::LoopExit, ReplayEnd::Finished(_)) => {
-                    // The frame unwound before the loop exit was observed:
-                    // nothing safe to digest — conservative refutation.
-                    VerifyEnd::Violated(Violation::ReplayDiverged)
-                }
-                // A heap-budget overflow is a resource limit like the step
-                // budget below — unless this slot carries an injected
-                // `AllocFail`, whose out-of-memory trap must keep counting
-                // as a contained violation.
-                (_, ReplayEnd::Trapped(Trap::OutOfMemory))
-                    if self.config.max_heap_cells.is_some()
-                        && !matches!(injected, Some(FaultKind::AllocFail { .. })) =>
-                {
-                    VerifyEnd::MemBudget
-                }
-                (_, ReplayEnd::Trapped(t)) => VerifyEnd::Violated(Violation::ReplayTrapped(t)),
-                // An exhausted replay budget is a resource limit, not
-                // evidence of non-commutativity: the callers map it to
-                // `Skipped(ReplayBudget)`, never to a violation.
-                (_, ReplayEnd::BudgetExhausted) => VerifyEnd::Budget,
-                (_, ReplayEnd::DeadlineExpired) => VerifyEnd::Deadline,
-                (_, ReplayEnd::Cancelled) => VerifyEnd::Cancelled,
-                (VerifyScope::ProgramEnd, ReplayEnd::LoopExited) => {
-                    unreachable!("ProgramEnd replays never stop at loop exit")
                 }
             };
             let verify = t_since(t_verify);
@@ -1595,7 +1344,7 @@ impl Dca {
         };
         let stop = StopIndex::new();
         let slots = parallel_scan_with(
-            threads,
+            run.threads,
             perms,
             &stop,
             obs,
@@ -1604,7 +1353,7 @@ impl Dca {
             // from the shared snapshot once, then rewound by journal
             // rollback between replays (O(writes), not O(heap)).
             || ReplayWorker {
-                machine: self.new_machine(module),
+                machine: self.new_machine(run.module),
                 clean: false,
                 scratch: DigestScratch::new(),
                 roots: Vec::new(),
@@ -1619,17 +1368,8 @@ impl Dca {
                 let out =
                     catch_contained(|| check_one(w, i, perm)).unwrap_or_else(|msg| PermOutcome {
                         end: VerifyEnd::Fault(msg),
-                        steps: 0,
-                        restore: Duration::ZERO,
-                        replay: Duration::ZERO,
-                        verify: Duration::ZERO,
-                        ops: OpCounts::default(),
-                        journal: JournalStats::default(),
-                        injected: ctx
-                            .fault
-                            .and_then(|p| p.for_replay(ctx.ordinal, i))
-                            .filter(|k| !matches!(k, FaultKind::KillSave { .. })),
-                        digest: DigestStats::default(),
+                        injected: injected_at(i),
+                        ..PermOutcome::default()
                     });
                 if out.end != VerifyEnd::Complete {
                     stop.stop_at(i);
@@ -1654,7 +1394,7 @@ impl Dca {
         for (i, s) in slots[..prefix_end].iter().enumerate() {
             totals.add(i, s.as_ref().expect("filled up to the final stop"));
         }
-        totals.record(obs, ctx.ordinal);
+        totals.record(obs, run.ordinal);
         if obs.has_trace() && terminal != usize::MAX {
             let wasted = slots[prefix_end..].iter().flatten().count();
             if wasted > 0 {
@@ -1740,21 +1480,12 @@ pub fn read_roots(machine: &Machine<'_>, vars: &[VarId], buf: &mut Vec<Value>) {
     buf.extend(vars.iter().map(|&v| machine.read_var(v)));
 }
 
-/// The placeholder result for a loop whose analysis panicked: the panic
-/// was contained, its message classified, and the rest of the module's
-/// report is unaffected. The tag is left empty — resolving it would
-/// re-enter the code that just faulted.
-fn engine_fault_result(lref: LoopRef, msg: String) -> LoopResult {
-    LoopResult {
-        lref,
-        tag: None,
-        verdict: LoopVerdict::Skipped(SkipReason::EngineFault(msg)),
-        trips: 0,
-        permutations_tested: 0,
-        replay_steps: 0,
-        wall: Duration::ZERO,
-        cached: false,
-        resumed: false,
+/// Combines two workloads' optional statistics: `f` merges them when both
+/// are present, otherwise whichever exists is kept.
+fn merge_opt<T>(a: Option<T>, b: Option<T>, f: impl FnOnce(T, T) -> T) -> Option<T> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(f(a, b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -1765,13 +1496,6 @@ fn engine_fault_result(lref: LoopRef, msg: String) -> LoopResult {
 fn merge_reports(a: DcaReport, b: DcaReport) -> DcaReport {
     let mut out = DcaReport::with_threads(a.threads.max(b.threads));
     out.wall = a.wall + b.wall;
-    out.obs = match (a.obs.clone(), &b.obs) {
-        (Some(mut ra), Some(rb)) => {
-            ra.merge(rb);
-            Some(ra)
-        }
-        (ra, rb) => ra.or_else(|| rb.clone()),
-    };
     for ra in a.iter() {
         let rb = b.get(ra.lref).expect("same module, same loops");
         let verdict = match (&ra.verdict, &rb.verdict) {
@@ -1787,7 +1511,7 @@ fn merge_reports(a: DcaReport, b: DcaReport) -> DcaReport {
             (LoopVerdict::NotExercised, LoopVerdict::NotExercised) => LoopVerdict::NotExercised,
             (LoopVerdict::NotExercised, other) => other.clone(),
         };
-        out.push(crate::report::LoopResult {
+        out.push(LoopResult {
             lref: ra.lref,
             tag: ra.tag.clone(),
             verdict,
@@ -1799,18 +1523,27 @@ fn merge_reports(a: DcaReport, b: DcaReport) -> DcaReport {
             resumed: ra.resumed && rb.resumed,
         });
     }
-    out.journal = match (a.journal.clone(), b.journal.clone()) {
-        (Some(ja), Some(jb)) => Some(RunJournalStats {
-            path: ja.path,
-            bypassed: ja.bypassed || jb.bypassed,
-            resumed: ja.resumed + jb.resumed,
-            recorded: ja.recorded + jb.recorded,
-            quarantined: ja.quarantined.max(jb.quarantined),
-            dropped: ja.dropped + jb.dropped,
-            faults: ja.faults + jb.faults,
-        }),
-        (ja, jb) => ja.or(jb),
-    };
+    out.obs = merge_opt(a.obs, b.obs, |mut ra, rb| {
+        ra.merge(&rb);
+        ra
+    });
+    out.cache = merge_opt(a.cache, b.cache, |ca, cb| CacheStats {
+        path: ca.path,
+        bypassed: ca.bypassed || cb.bypassed,
+        hits: ca.hits + cb.hits,
+        misses: ca.misses + cb.misses,
+        stores: ca.stores + cb.stores,
+        faults: ca.faults + cb.faults,
+    });
+    out.journal = merge_opt(a.journal, b.journal, |ja, jb| RunJournalStats {
+        path: ja.path,
+        bypassed: ja.bypassed || jb.bypassed,
+        resumed: ja.resumed + jb.resumed,
+        recorded: ja.recorded + jb.recorded,
+        quarantined: ja.quarantined.max(jb.quarantined),
+        dropped: ja.dropped + jb.dropped,
+        faults: ja.faults + jb.faults,
+    });
     out
 }
 
@@ -2230,6 +1963,85 @@ mod tests {
             results[0].permutations_tested, r.permutations_tested,
             "test_invocations and analyze must count identically"
         );
+    }
+
+    #[test]
+    fn test_invocations_matches_analyze_on_every_early_exit() {
+        // `analyze` and `test_invocations` share one per-invocation
+        // tester; on a loop run once they must agree field by field on
+        // every path out of it, not only the commutative one.
+        let fill = "fn main() -> int { let a: [int; 16]; let s: int = 0; \
+             @m: for (let i: int = 0; i < 16; i = i + 1) { a[i] = i * 3; } \
+             for (let i: int = 0; i < 16; i = i + 1) { s = s + a[i]; } \
+             return s; }";
+        let trapping = "fn main() -> int { let a: [int; 16]; let z: int = 0; \
+             @m: for (let i: int = 0; i < 16; i = i + 1) { a[i] = i * 3; } \
+             return a[5] / z; }";
+        let skipped = LoopVerdict::Skipped;
+        let cases = [
+            (
+                "default",
+                fill,
+                DcaConfig::default(),
+                LoopVerdict::Commutative,
+            ),
+            (
+                "loop-exit",
+                fill,
+                DcaConfig::exact(),
+                LoopVerdict::Commutative,
+            ),
+            (
+                "trip limit",
+                fill,
+                DcaConfig {
+                    max_trip: 4,
+                    ..DcaConfig::default()
+                },
+                skipped(SkipReason::TripLimit),
+            ),
+            (
+                "golden budget",
+                fill,
+                DcaConfig {
+                    max_steps: 20,
+                    ..DcaConfig::default()
+                },
+                skipped(SkipReason::GoldenBudget),
+            ),
+            (
+                "heap budget",
+                fill,
+                DcaConfig {
+                    max_heap_cells: Some(4),
+                    ..DcaConfig::default()
+                },
+                skipped(SkipReason::MemoryBudget),
+            ),
+            (
+                "golden trap",
+                trapping,
+                DcaConfig::default(),
+                skipped(SkipReason::GoldenTrapped(Trap::DivByZero)),
+            ),
+        ];
+        for (name, src, config, expected) in cases {
+            let m = dca_ir::compile(src).expect("compile");
+            let dca = Dca::new(config);
+            let report = dca.analyze_module(&m).expect("analyze");
+            let r = report.by_tag("m").expect("tagged loop");
+            assert_eq!(r.verdict, expected, "{name}: early exit reached");
+            let per_invocation = dca.test_invocations(&m, r.lref, &[], 1).expect("test");
+            assert_eq!(per_invocation.len(), 1, "{name}: one result");
+            let i = &per_invocation[0];
+            assert_eq!(i.verdict, r.verdict, "{name}: verdict");
+            assert_eq!(i.trips, r.trips, "{name}: trips");
+            assert_eq!(
+                i.permutations_tested, r.permutations_tested,
+                "{name}: permutations"
+            );
+            assert_eq!(i.replay_steps, r.replay_steps, "{name}: replay steps");
+        }
     }
 
     #[test]

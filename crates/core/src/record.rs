@@ -80,7 +80,8 @@ struct Recorder<'a> {
     func: FuncId,
     header: BlockId,
     blocks: &'a BTreeSet<BlockId>,
-    rec_vars: &'a [VarId],
+    /// The captured variables: the loop's iterator slice.
+    rec_vars: Vec<VarId>,
     slice: &'a IteratorSlice,
     max_trip: usize,
     /// Invocations with fewer committed iterations than this are skipped
@@ -233,8 +234,7 @@ impl Hooks for Recorder<'_> {
 /// Runs the golden execution for `l` (invocation `skip_invocations`) and
 /// records everything replay needs.
 ///
-/// `rec_vars` determines which variables are captured per iteration —
-/// normally the loop's iterator-slice variables.
+/// The loop's iterator-slice variables are captured per iteration.
 ///
 /// # Errors
 ///
@@ -251,39 +251,6 @@ pub fn record_golden(
     max_trip: usize,
     max_steps: u64,
 ) -> Result<GoldenRecord, RecordError> {
-    record_golden_min_trip(
-        machine,
-        main,
-        args,
-        func,
-        l,
-        slice,
-        skip_invocations,
-        max_trip,
-        max_steps,
-        0,
-    )
-}
-
-/// Like [`record_golden`], but skips invocations shorter than `min_trip`
-/// committed iterations, recording the first one long enough to permute.
-///
-/// # Errors
-///
-/// See [`RecordError`].
-#[allow(clippy::too_many_arguments)]
-pub fn record_golden_min_trip(
-    machine: &mut Machine<'_>,
-    main: FuncId,
-    args: &[Value],
-    func: FuncId,
-    l: &Loop,
-    slice: &IteratorSlice,
-    skip_invocations: u32,
-    max_trip: usize,
-    max_steps: u64,
-    min_trip: usize,
-) -> Result<GoldenRecord, RecordError> {
     record_golden_governed(
         machine,
         main,
@@ -294,16 +261,17 @@ pub fn record_golden_min_trip(
         skip_invocations,
         max_trip,
         max_steps,
-        min_trip,
+        0,
         None,
         None,
     )
 }
 
-/// Like [`record_golden_min_trip`], with an optional wall-clock deadline
-/// and an optional [`CancelToken`], both checked cooperatively every
-/// [`GOVERN_GRANULE`] steps. `None` for both keeps the recording loop
-/// free of clock reads and atomic loads.
+/// Like [`record_golden`], but skips invocations shorter than `min_trip`
+/// committed iterations, recording the first one long enough to permute;
+/// with an optional wall-clock deadline and an optional [`CancelToken`],
+/// both checked cooperatively every [`GOVERN_GRANULE`] steps. `None` for
+/// both keeps the recording loop free of clock reads and atomic loads.
 ///
 /// # Errors
 ///
@@ -324,19 +292,10 @@ pub fn record_golden_governed(
     deadline: Option<Instant>,
     cancel: Option<&CancelToken>,
 ) -> Result<GoldenRecord, RecordError> {
-    let rec_vars: Vec<VarId> = slice.slice_vars.iter().copied().collect();
     machine
         .push_call(main, args)
         .map_err(RecordError::Trapped)?;
-    let mut rec = new_recorder(
-        func,
-        l,
-        &rec_vars,
-        slice,
-        skip_invocations,
-        max_trip,
-        min_trip,
-    );
+    let mut rec = new_recorder(func, l, slice, skip_invocations, max_trip, min_trip);
     let (ret, snapshot) = drive(machine, &mut rec, max_steps, deadline, cancel)?;
     seal(rec, snapshot, ret, machine)
 }
@@ -367,11 +326,10 @@ pub fn record_golden_profiled(
     max_trip: usize,
     max_steps: u64,
 ) -> Result<(GoldenRecord, LoopProfile), RecordError> {
-    let rec_vars: Vec<VarId> = slice.slice_vars.iter().copied().collect();
     machine
         .push_call(main, args)
         .map_err(RecordError::Trapped)?;
-    let rec = new_recorder(func, l, &rec_vars, slice, skip_invocations, max_trip, 0);
+    let rec = new_recorder(func, l, slice, skip_invocations, max_trip, 0);
     let mut probe = FootprintProbe::new();
     // Per-block attribution, resolved once. Most loop blocks are *uniform*
     // (all-slice or all-payload, the way the front end lowers them), and a
@@ -429,11 +387,9 @@ pub fn record_golden_profiled(
     Ok((golden, profile))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn new_recorder<'a>(
     func: FuncId,
     l: &'a Loop,
-    rec_vars: &'a [VarId],
     slice: &'a IteratorSlice,
     skip_invocations: u32,
     max_trip: usize,
@@ -443,7 +399,7 @@ fn new_recorder<'a>(
         func,
         header: l.header,
         blocks: &l.blocks,
-        rec_vars,
+        rec_vars: slice.slice_vars.iter().copied().collect(),
         slice,
         max_trip,
         min_trip,
@@ -543,15 +499,13 @@ fn seal(
 ) -> Result<GoldenRecord, RecordError> {
     let snapshot = snapshot.ok_or(RecordError::NotExercised)?;
     let exit_target = rec.exit_target.ok_or(RecordError::NotExercised)?;
-    let rec_vars = rec.rec_vars.to_vec();
-    let (iters, exit_vals, depth) = (rec.iters, rec.exit_vals, rec.depth);
     Ok(GoldenRecord {
         snapshot: Arc::new(snapshot),
-        iters,
-        rec_vars,
-        exit_vals,
+        iters: rec.iters,
+        rec_vars: rec.rec_vars,
+        exit_vals: rec.exit_vals,
         exit_target,
-        depth: depth.expect("recording started"),
+        depth: rec.depth.expect("recording started"),
         outcome: ProgramOutcome::capture(machine, ret),
         total_steps: machine.steps(),
     })
@@ -844,7 +798,7 @@ mod tests {
         let slice = IteratorSlice::compute(&view, l);
         let trips_of = |skip: u32| {
             let mut machine = Machine::new(&m);
-            crate::record::record_golden_min_trip(
+            record_golden_governed(
                 &mut machine,
                 m.main().expect("main"),
                 &[],
@@ -855,6 +809,8 @@ mod tests {
                 DcaConfig::DEFAULT_MAX_TRIP,
                 DcaConfig::TEST_STEP_BUDGET,
                 2,
+                None,
+                None,
             )
             .map(|g| g.iters.len())
         };

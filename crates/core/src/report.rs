@@ -1,5 +1,6 @@
 //! DCA verdicts and the per-module analysis report.
 
+use crate::cache::CachedVerdict;
 use crate::outcome::Divergence;
 use dca_analysis::ExclusionReason;
 use dca_interp::Trap;
@@ -161,6 +162,45 @@ pub struct LoopResult {
     ///
     /// [`cached`]: LoopResult::cached
     pub resumed: bool,
+}
+
+impl LoopResult {
+    /// A result carrying only a verdict, with zero counters: a loop
+    /// skipped, excluded or found unexercised before any replay counted.
+    pub(crate) fn bare(lref: LoopRef, tag: Option<String>, verdict: LoopVerdict) -> Self {
+        LoopResult {
+            lref,
+            tag,
+            verdict,
+            trips: 0,
+            permutations_tested: 0,
+            replay_steps: 0,
+            wall: Duration::ZERO,
+            cached: false,
+            resumed: false,
+        }
+    }
+
+    /// A verdict served from the run journal or the verdict cache instead
+    /// of recomputed, with the counters it was stored with. The caller
+    /// marks which store served it (`resumed` or `cached`).
+    pub(crate) fn served(lref: LoopRef, v: CachedVerdict) -> Self {
+        LoopResult {
+            trips: v.trips,
+            permutations_tested: v.permutations_tested,
+            replay_steps: v.replay_steps,
+            ..LoopResult::bare(lref, v.tag, v.verdict)
+        }
+    }
+
+    /// The placeholder result for a loop whose analysis panicked: the
+    /// panic was contained, its message classified, and the rest of the
+    /// module's report is unaffected. The tag is left empty — resolving
+    /// it would re-enter the code that just faulted.
+    pub(crate) fn engine_fault(lref: LoopRef, msg: String) -> Self {
+        let verdict = LoopVerdict::Skipped(SkipReason::EngineFault(msg));
+        LoopResult::bare(lref, None, verdict)
+    }
 }
 
 /// Equality compares the analysis outcome — verdict, trips, permutation

@@ -4,6 +4,7 @@
 //! engine or change a verdict.
 
 use dca::core::{Dca, DcaConfig, DcaReport, ObsOptions};
+use dca::interp::Value;
 use dca_rng::Rng;
 use std::path::PathBuf;
 
@@ -361,6 +362,43 @@ fn dca_cache_env_var_enables_the_cache() {
         warm.cache.expect("stats").path,
         path,
         "stats report the env-resolved path"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn multi_input_analysis_merges_cache_stats() {
+    // `analyze_inputs` runs one analysis per workload; the combined
+    // report must carry the cache statistics of all of them, summed.
+    let dir = scratch("inputs");
+    let path = dir.join("cache.json");
+    let m = dca::ir::compile(
+        "fn main(n: int) -> int { let a: [int; 32]; let s: int = 0; \
+         @map: for (let i: int = 0; i < n; i = i + 1) { a[i] = i * 3; } \
+         @red: for (let i: int = 0; i < n; i = i + 1) { s = s + a[i]; } \
+         return s; }",
+    )
+    .expect("compile");
+    let inputs = [vec![Value::Int(16)], vec![Value::Int(24)]];
+    let dca = Dca::new(with_cache(&path, 1));
+    // Each workload keys its own entries: the cold pass misses and
+    // stores every loop once per input, the warm pass hits them all.
+    let cold = dca.analyze_inputs(&m, &inputs).expect("cold");
+    let per_input = cold.len() as u64;
+    let stats = cold.cache.expect("a configured cache reports stats");
+    assert_eq!(stats.path, path);
+    assert!(!stats.bypassed);
+    assert_eq!(
+        (stats.hits, stats.misses, stats.stores, stats.faults),
+        (0, 2 * per_input, 2 * per_input, 0),
+        "cold stats summed over both inputs"
+    );
+    let warm = dca.analyze_inputs(&m, &inputs).expect("warm");
+    let stats = warm.cache.expect("a configured cache reports stats");
+    assert_eq!(
+        (stats.hits, stats.misses, stats.stores, stats.faults),
+        (2 * per_input, 0, 0, 0),
+        "warm stats summed over both inputs"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
